@@ -23,6 +23,7 @@ from time import perf_counter
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.plans import (
     STRICT,
@@ -35,7 +36,6 @@ from repro.plans import (
 from repro.plans.physical import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
-from repro.stats import DocumentStatistics
 
 from benchmarks.harness import document_for
 

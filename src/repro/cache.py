@@ -1,33 +1,31 @@
-"""Tier-2 result cache: whole top-K answers, keyed by the canonical query.
+"""The engine's locked LRU, and the two caching tiers built on it.
 
-The :class:`~repro.engine.FleXPath` facade fronts every query with a small
-LRU over finished :class:`~repro.topk.base.TopKResult` objects.  The key is
-the canonical evaluation request — ``(TPQ, k, scheme name, algorithm,
-max_relaxations, corpus version)`` — so two textual spellings of the same
-tree pattern share one entry (:class:`~repro.query.tpq.TPQ` hashes by its
-canonical structural key).
+:class:`LRUCache` is one bounded, thread-safe LRU with instrumentation:
+counters go to the process :class:`~repro.obs.metrics.MetricsRegistry`
+under ``<name>_cache.*`` (``hits`` / ``misses`` / ``evictions`` /
+``invalidations``, gauge ``<name>_cache.size``) and to the
+``cache_hit``/``cache_miss`` event seam, while instance-level tallies back
+:meth:`LRUCache.info`, so per-engine numbers stay exact when several
+engines share one process registry.  Two tiers use it:
 
-Correctness relies on two facts:
+- :class:`ResultCache` (tier 2, ``result``): finished top-K results on the
+  :class:`~repro.engine.FleXPath` facade, keyed by the canonical
+  evaluation request — ``(TPQ, k, scheme name, algorithm,
+  max_relaxations, corpus version)`` — so two textual spellings of the
+  same tree pattern share one entry;
+- :class:`~repro.compiled.PlanCache` (``plan``): compiled queries, keyed
+  by the compile request.
 
-- results are immutable in practice (frozen scores, tuples of answers), so
-  handing the same object back twice is safe;
-- a document only changes through
-  :meth:`~repro.collection.Corpus.add_document`, which both bumps the
-  corpus ``version`` (part of the key) and clears the cache through the
-  facade's subscription — belt and suspenders, so a stale read is
-  impossible even if a caller keeps an old key alive.
-
-Probes are rare (one per facade query), so counters go straight to the
-process :class:`~repro.obs.metrics.MetricsRegistry` (``result_cache.*``)
-and the ``cache_hit``/``cache_miss`` event seam — no delta folding needed.
-Instance-level tallies (hits/misses/evictions/invalidations) ride along so
-:meth:`ResultCache.info` can report per-engine numbers even when several
-engines share one process registry.
+Both are corpus-version fenced the same way: the version is part of every
+key *and* the owner calls :meth:`LRUCache.invalidate` on growth — belt and
+suspenders, so a stale read is impossible even if a caller keeps an old
+key alive.  Cached values are immutable in practice, so handing the same
+object back twice is safe.
 
 Thread-safety: a single mutex serializes every probe — unlike the tier-1
 :class:`~repro.plans.eval_cache.EvaluationCache`, even ``get`` mutates
-(LRU ``move_to_end``), and probes are one-per-query rather than
-one-per-node, so the lock costs nothing measurable.
+(LRU ``move_to_end``), and probes are one per query or compile rather
+than one per node, so the lock costs nothing measurable.
 """
 
 from __future__ import annotations
@@ -41,12 +39,13 @@ from repro.obs.metrics import REGISTRY
 DEFAULT_MAX_ENTRIES = 128
 
 
-class ResultCache:
-    """LRU of finished top-K results with registry/event instrumentation."""
+class LRUCache:
+    """Bounded, locked LRU reporting ``<name>_cache.*`` metrics and events."""
 
-    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
+    def __init__(self, name, max_entries):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
+        self.name = name
         self.max_entries = max_entries
         self._entries = OrderedDict()
         self._lock = threading.Lock()
@@ -54,9 +53,10 @@ class ResultCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._metric = name + "_cache."
 
     def get(self, key):
-        """The cached result for ``key``, or None; refreshes LRU order."""
+        """The cached value for ``key``, or None; refreshes LRU order."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -66,33 +66,34 @@ class ResultCache:
                 self._misses += 1
         if entry is None:
             if REGISTRY.enabled:
-                REGISTRY.inc("result_cache.misses")
+                REGISTRY.inc(self._metric + "misses")
             if HUB.active:
-                HUB.emit("cache_miss", {"engine": "result", "cache": "result"})
+                HUB.emit("cache_miss", {"engine": self.name,
+                                        "cache": self.name})
             return None
         if REGISTRY.enabled:
-            REGISTRY.inc("result_cache.hits")
+            REGISTRY.inc(self._metric + "hits")
         if HUB.active:
-            HUB.emit("cache_hit", {"engine": "result", "cache": "result"})
+            HUB.emit("cache_hit", {"engine": self.name, "cache": self.name})
         return entry
 
-    def put(self, key, result):
-        """Store ``result``, evicting the least-recently-used entry if full."""
+    def put(self, key, value):
+        """Store ``value``, evicting the least-recently-used entry if full."""
         evicted = False
         with self._lock:
             entries = self._entries
             if key in entries:
                 entries.move_to_end(key)
-            entries[key] = result
+            entries[key] = value
             if len(entries) > self.max_entries:
                 entries.popitem(last=False)
                 self._evictions += 1
                 evicted = True
             size = len(entries)
-        if evicted and REGISTRY.enabled:
-            REGISTRY.inc("result_cache.evictions")
         if REGISTRY.enabled:
-            REGISTRY.set_gauge("result_cache.size", size)
+            if evicted:
+                REGISTRY.inc(self._metric + "evictions")
+            REGISTRY.set_gauge(self._metric + "size", size)
 
     def invalidate(self):
         """Drop every entry (corpus growth)."""
@@ -101,10 +102,10 @@ class ResultCache:
             if dropped:
                 self._entries.clear()
                 self._invalidations += 1
-        if dropped and REGISTRY.enabled:
-            REGISTRY.inc("result_cache.invalidations")
         if REGISTRY.enabled:
-            REGISTRY.set_gauge("result_cache.size", 0)
+            if dropped:
+                REGISTRY.inc(self._metric + "invalidations")
+            REGISTRY.set_gauge(self._metric + "size", 0)
 
     def info(self):
         """Instance-level counters (independent of the process registry)."""
@@ -125,9 +126,13 @@ class ResultCache:
             return len(self._entries)
 
     def __repr__(self):
-        with self._lock:
-            entries = len(self._entries)
-        return "ResultCache(entries=%d, max_entries=%d)" % (
-            entries,
-            self.max_entries,
+        return "%s(entries=%d, max_entries=%d)" % (
+            type(self).__name__, len(self), self.max_entries,
         )
+
+
+class ResultCache(LRUCache):
+    """LRU of finished top-K results (``result_cache.*`` metrics)."""
+
+    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
+        super().__init__("result", max_entries)

@@ -26,11 +26,7 @@ policies that walk a :class:`CompiledQuery` with a per-query
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
-from repro.obs.events import HUB
-from repro.obs.metrics import REGISTRY
+from repro.cache import LRUCache
 from repro.plans.cost import StaticCostModel
 from repro.plans.physical import lower_plan
 from repro.plans.plan import build_encoded_plan, build_strict_plan
@@ -108,13 +104,13 @@ class CompiledQuery:
 
     # -- pickling -------------------------------------------------------------
     #
-    # A CompiledQuery is the unit the sharded scatter path ships to worker
-    # processes.  The default slots protocol restores attributes through
+    # A CompiledQuery pickles, so an artifact can be shipped to another
+    # process.  The default slots protocol restores attributes through
     # ``setattr`` (which this class forbids), so spell the state transfer
     # out with ``object.__setattr__``.  The schedule drops its penalty
-    # model in transit (see RelaxationSchedule.__getstate__) — workers
-    # only execute prebuilt plans and read per-level scores, both of which
-    # are materialized in the artifact.
+    # model in transit (see RelaxationSchedule.__getstate__) — executing
+    # prebuilt plans and reading per-level scores needs neither, both are
+    # materialized in the artifact.
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -232,104 +228,16 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     )
 
 
-class PlanCache:
+class PlanCache(LRUCache):
     """Bounded, thread-safe, corpus-version-fenced LRU of compiled queries.
 
     The key is the full compile request — ``(TPQ, max_relaxations,
-    skip_useless_gamma, corpus version)`` — so a grown corpus can never be
-    answered with plans whose penalties were derived from stale statistics
-    (the version is in the key *and* :meth:`invalidate` clears eagerly on
-    growth, the same belt-and-suspenders the result cache uses).
-
-    All operations take the cache's own mutex; probes are one per compile
-    request, not per tuple, so the lock is far off the hot path.  Counters
-    go to the process registry (``plan_cache.hits`` / ``.misses`` /
-    ``.evictions`` / ``.invalidations``, gauge ``plan_cache.size``) and to
-    instance fields surfaced by :meth:`info`.
+    skip_useless_gamma, corpus version, cost-model fingerprint)`` — so a
+    grown corpus can never be answered with plans whose penalties were
+    derived from stale statistics; owners also :meth:`invalidate` on
+    growth.  Metrics go under ``plan_cache.*`` (see
+    :class:`~repro.cache.LRUCache`).
     """
 
     def __init__(self, max_entries=DEFAULT_PLAN_CACHE_SIZE):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def get(self, key):
-        """The cached artifact for ``key``, or None; refreshes LRU order."""
-        with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if compiled is None:
-            if REGISTRY.enabled:
-                REGISTRY.inc("plan_cache.misses")
-            if HUB.active:
-                HUB.emit("cache_miss", {"engine": "plan", "cache": "plan"})
-            return None
-        if REGISTRY.enabled:
-            REGISTRY.inc("plan_cache.hits")
-        if HUB.active:
-            HUB.emit("cache_hit", {"engine": "plan", "cache": "plan"})
-        return compiled
-
-    def put(self, key, compiled):
-        """Store an artifact, evicting the least-recently-used past the bound."""
-        evicted = False
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-            entries[key] = compiled
-            if len(entries) > self.max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
-                evicted = True
-            size = len(entries)
-        if REGISTRY.enabled:
-            if evicted:
-                REGISTRY.inc("plan_cache.evictions")
-            REGISTRY.set_gauge("plan_cache.size", size)
-
-    def invalidate(self):
-        """Drop every artifact (corpus growth)."""
-        with self._lock:
-            had_entries = bool(self._entries)
-            self._entries.clear()
-            if had_entries:
-                self.invalidations += 1
-        if REGISTRY.enabled:
-            if had_entries:
-                REGISTRY.inc("plan_cache.invalidations")
-            REGISTRY.set_gauge("plan_cache.size", 0)
-
-    def info(self):
-        """JSON-safe snapshot of the cache's counters and occupancy."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def __repr__(self):
-        return "PlanCache(entries=%d, max_entries=%d, hits=%d, misses=%d)" % (
-            len(self),
-            self.max_entries,
-            self.hits,
-            self.misses,
-        )
+        super().__init__("plan", max_entries)

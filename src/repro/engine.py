@@ -613,6 +613,7 @@ class FleXPath:
                     nodes = evaluate(
                         tpq, self.document,
                         contains_oracle=self._contains_oracle(),
+                        virtual_root_id=self._engine.backend.virtual_root_id,
                     )
         except Exception:
             REGISTRY.inc("query.errors")
@@ -698,7 +699,6 @@ class FleXPath:
 
         backend = self._engine.backend
         nodes = []
-        seen = set()
         for shard_index, shard in enumerate(backend.shards):
             ir = shard.ir
 
@@ -706,12 +706,10 @@ class FleXPath:
                 return _ir.satisfies(node, ftexpr)
 
             for node in evaluate(
-                tpq, shard.document, contains_oracle=oracle
+                tpq, shard.document, contains_oracle=oracle,
+                virtual_root_id=shard.virtual_root_id,
             ):
                 global_id = backend.translate_id(shard_index, node.node_id)
-                if global_id in seen:
-                    continue  # each shard's virtual root maps to global 0
-                seen.add(global_id)
                 nodes.append(GlobalNode(node, global_id, shard_index))
         nodes.sort(key=lambda node: node.node_id)
         return nodes

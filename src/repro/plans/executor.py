@@ -612,8 +612,13 @@ class PlanExecutor:
                 candidates = self._backend.nodes_with_tag(tag)
             else:
                 candidates = list(self._backend.nodes())
+            # The virtual collection root is storage, not data: no query
+            # variable may ever bind it.
+            virtual_root = self._backend.virtual_root_id
             nodes = []
             for node in candidates:
+                if node.node_id == virtual_root:
+                    continue
                 if allowed is not None and node.node_id not in allowed:
                     continue
                 if not self._attrs_ok(attr_predicates, node):

@@ -22,10 +22,9 @@ The operator vocabulary:
   (TwigStack-family; kernel in :mod:`repro.backend.kernels`), no
   intermediate pair lists at all.
 
-A :class:`PhysicalPlan` is a frozen, picklable value object: the sharded
-scatter path ships it to forked workers exactly like the logical plans it
-wraps, and the :class:`~repro.compiled.PlanCache` version-fences it
-through the compile key's cost-model fingerprint.
+A :class:`PhysicalPlan` is a frozen, picklable value object like the
+logical plan it wraps, and the :class:`~repro.compiled.PlanCache`
+version-fences it through the compile key's cost-model fingerprint.
 
 Twig eligibility: the holistic operator evaluates *conjunctive* twigs —
 every join must have exactly one alternative and be required, and every

@@ -224,8 +224,7 @@ class RelaxationSchedule:
         # The penalty model holds the backend (and its thread lock), which
         # cannot cross a process boundary.  Everything the schedule serves
         # after construction — levels, cumulative penalties, base score —
-        # is already materialized, so ship the schedule without it (the
-        # sharded scatter path pickles CompiledQuery artifacts to workers).
+        # is already materialized, so ship the schedule without it.
         state = dict(self.__dict__)
         state["penalty_model"] = None
         return state

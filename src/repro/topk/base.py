@@ -24,7 +24,9 @@ from repro.obs.trace import LevelTrace
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.plans.cost import FeedbackStatistics, MeasuredCostModel
 from repro.plans.eval_cache import EvaluationCache
-from repro.plans.executor import PlanExecutor
+from repro.plans.executor import STRICT, PlanExecutor
+from repro.rank.schemes import rank_answers
+from repro.rank.scores import AnswerScore, ScoredAnswer
 from repro.relax.penalties import UNIFORM_WEIGHTS, PenaltyModel
 from repro.stats.selectivity import SelectivityEstimator
 
@@ -146,15 +148,22 @@ class QueryContext:
 
 
 class ExecutionSession:
-    """All mutable state of one top-K evaluation, bundled per query.
+    """All mutable state of one top-K evaluation on one context.
 
-    Strategies are stateless policies: ``top_k`` creates one session,
-    ``execute`` threads it through every helper, and nothing about the
-    query ever lands on the shared strategy object or the shared context.
-    The fields mirror what the five strategies used to keep in local
-    variables — a tracer, the context's evaluation-cache handle, the
-    cross-level answer-id dedup set, per-level stats/traces, and the level
-    counters the :class:`TopKResult` reports.
+    Strategies are stateless policies: ``top_k`` creates one session and
+    ``execute`` drives it, so nothing about the query ever lands on the
+    shared strategy object or the shared context.  ``execute`` reaches the
+    data only through the session contract — :meth:`run_strict`,
+    :meth:`run_encoded`, the per-level :meth:`bound` hook, ``exhausted``,
+    the ``restarts`` counter and :meth:`result` — which
+    :class:`repro.sharding.ScatterSession` implements over per-shard
+    sessions.  That is how each algorithm's one control loop runs sharded
+    unchanged.
+
+    Locally the session keeps the cross-level answer-id dedup set
+    (``seen``), per-plan stats/traces and the level counters the
+    :class:`TopKResult` reports.  ``prefix`` is prepended to every plan
+    label (a scatter session names its shards this way).
 
     ``control`` is the per-query deadline/cancellation hook (an object with
     a ``check()`` method raising to abort, e.g.
@@ -168,36 +177,130 @@ class ExecutionSession:
         "context",
         "tracer",
         "control",
-        "eval_cache",
+        "prefix",
         "seen",
-        "collected",
         "stats",
         "traces",
         "levels_evaluated",
         "restarts",
     )
 
+    #: A local session never runs out of data to ask before the walk ends.
+    exhausted = False
+
     def __init__(self, context, tracer=NULL_TRACER, control=None):
         self.context = context
         self.tracer = tracer
         self.control = control
-        self.eval_cache = context.eval_cache
+        self.prefix = ""
         self.seen = set()
-        self.collected = []
         self.stats = []
         self.traces = []
         self.levels_evaluated = 0
         self.restarts = 0
 
+    def run_strict(self, compiled, level, exclude_seen, restrictions=None):
+        """Answers of one schedule level's strict plan, scored at its level.
+
+        With ``exclude_seen`` answers of earlier levels are dropped inside
+        the executor as soon as the answer variable binds (§5.2.2) and the
+        fresh ones join ``seen``.  ``restrictions`` is a strategy's
+        ``(context, query) -> {var: node ids}`` pool filter, evaluated
+        against this session's own context.
+        """
+        kwargs = {"mode": STRICT}
+        if restrictions is not None:
+            with self.tracer.span("ir_filter"):
+                kwargs["pool_restrictions"] = restrictions(
+                    self.context, compiled.schedule.level(level).query
+                )
+        seen = self.seen if exclude_seen else None
+        if seen is not None:
+            kwargs["exclude_answer_ids"] = seen
+        result = self.run_plan(
+            compiled.strict_physical(level), "level %d" % level, **kwargs
+        )
+        level_score = compiled.schedule.structural_score(level)
+        fresh = []
+        for answer in result.answers:
+            if seen is not None:
+                if answer.node_id in seen:
+                    continue
+                seen.add(answer.node_id)
+            fresh.append(
+                ScoredAnswer(
+                    node=answer.node,
+                    score=AnswerScore(level_score, answer.score.keyword),
+                    relaxation_level=level,
+                    satisfied=answer.satisfied,
+                )
+            )
+        return fresh
+
+    def run_encoded(self, compiled, level, k, scheme, mode):
+        """Answers of the plan encoding levels ``0..level`` (SSO/Hybrid)."""
+        return self.run_plan(
+            compiled.encoded_physical(level),
+            "encoded@level %d" % level,
+            k=k,
+            scheme=scheme,
+            mode=mode,
+        ).answers
+
+    def bound(self, compiled, level, answers, k, scheme):
+        """Per-level early-termination hook; one local corpus has nothing
+        to retire (see :meth:`repro.sharding.ScatterSession.bound`)."""
+
+    def result(self, algorithm, compiled, k, scheme, answers,
+               relaxations_used):
+        """The :class:`TopKResult` ranking ``answers`` under ``scheme``."""
+        return TopKResult(
+            algorithm=algorithm,
+            query=compiled.tpq,
+            k=k,
+            scheme=scheme,
+            answers=rank_answers(answers, scheme, k),
+            relaxations_used=relaxations_used,
+            levels_evaluated=self.levels_evaluated,
+            restarts=self.restarts,
+            stats=self.stats,
+            traces=self.traces,
+        )
+
     def run_plan(self, plan, label, **kwargs):
-        """Execute one plan under this session's tracer, recording stats."""
+        """Execute one plan under this session's tracer, recording stats.
+
+        With a live tracer the plan runs against a fresh per-level
+        :class:`Tracer` whose spans are merged into the query-wide one and
+        recorded as a :class:`LevelTrace`; with the null tracer this is one
+        extra ``enabled`` check.  This is also the ``level_executed`` event
+        seam — one emission per plan execution.
+        """
         control = self.control
         if control is not None:
             control.check()
             kwargs.setdefault("checkpoint", control.check)
-        result = run_plan_traced(
-            self.context, plan, label, self.tracer, self.traces, **kwargs
-        )
+        label = self.prefix + label
+        executor = self.context.executor
+        if not self.tracer.enabled:
+            result = executor.run(plan, **kwargs)
+        else:
+            level_tracer = Tracer()
+            result = executor.run(plan, tracer=level_tracer, **kwargs)
+            self.tracer.merge(level_tracer)
+            self.traces.append(
+                LevelTrace(
+                    label=label,
+                    spans=level_tracer.snapshot()["spans"],
+                    stats=result.stats,
+                    operators=tuple(result.operators or ()),
+                )
+            )
+        if HUB.active:
+            HUB.emit(
+                "level_executed",
+                {"label": label, "stats": result.stats.as_dict()},
+            )
         self.stats.append(result.stats)
         self.levels_evaluated += 1
         return result
@@ -235,6 +338,22 @@ class TopKResult:
         )
 
 
+def run_top_k(strategy, session, query, k, scheme, max_relaxations):
+    """The one ``top_k`` body: compile, run ``strategy.execute``, record.
+
+    ``session`` decides where plans run — an :class:`ExecutionSession`
+    for one context, a :class:`repro.sharding.ScatterSession` for shards.
+    """
+    context = session.context
+    tracer = session.tracer
+    metrics_token = begin_topk_metrics(context)
+    with tracer.span("compile"):
+        compiled = context.compile(query, max_relaxations=max_relaxations)
+    with tracer.span("execute"):
+        result = strategy.execute(compiled, session, k, scheme)
+    return record_topk_metrics(context, result, metrics_token)
+
+
 def begin_topk_metrics(context):
     """Open a metrics window for one ``top_k`` call.
 
@@ -258,7 +377,8 @@ def record_topk_metrics(context, result, token):
 
     Records, per algorithm, the query count, levels explored, answers
     returned, restarts, and a wall-time histogram — plus the IR engine's
-    cache and postings deltas accumulated while the window was open.
+    cache and postings deltas accumulated while the window was open, and
+    a sharded query's scatter rounds and pruned shards.
     Returns ``result`` so strategies can fold this into their return
     statement.
     """
@@ -274,6 +394,9 @@ def record_topk_metrics(context, result, token):
     }
     if result.restarts:
         folded["topk.%s.restarts" % algorithm] = result.restarts
+    if result.shard_rounds:
+        folded["shards.rounds"] = result.shard_rounds
+        folded["shards.pruned"] = result.shards_pruned
     for key, value in context.ir.metrics_snapshot().items():
         delta = value - ir_before[key]
         if delta:
@@ -284,43 +407,6 @@ def record_topk_metrics(context, result, token):
             folded[key] = delta
     REGISTRY.inc_many(folded)
     REGISTRY.observe("topk.%s.seconds" % algorithm, seconds)
-    return result
-
-
-def run_plan_traced(context, plan, label, tracer, traces, **kwargs):
-    """Execute one plan, capturing a per-level trace when tracing is on.
-
-    Shared by every top-K strategy: with a live tracer, the plan runs
-    against a fresh per-level :class:`Tracer` whose spans are merged into
-    the query-wide one and recorded as a :class:`LevelTrace` in ``traces``;
-    with the null tracer this is exactly one extra ``enabled`` check.
-    This is also the ``level_executed`` event seam — one emission per plan
-    execution, gated on the hub's no-listener fast path.
-    """
-    if not tracer.enabled:
-        result = context.executor.run(plan, **kwargs)
-        if HUB.active:
-            HUB.emit(
-                "level_executed",
-                {"label": label, "stats": result.stats.as_dict()},
-            )
-        return result
-    level_tracer = Tracer()
-    result = context.executor.run(plan, tracer=level_tracer, **kwargs)
-    tracer.merge(level_tracer)
-    traces.append(
-        LevelTrace(
-            label=label,
-            spans=level_tracer.snapshot()["spans"],
-            stats=result.stats,
-            operators=tuple(result.operators or ()),
-        )
-    )
-    if HUB.active:
-        HUB.emit(
-            "level_executed",
-            {"label": label, "stats": result.stats.as_dict()},
-        )
     return result
 
 

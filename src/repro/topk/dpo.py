@@ -19,24 +19,17 @@ scheme the §5.1 cutoff limits how far past the K-th answer DPO walks.
 
 The strategy object is stateless: ``top_k`` compiles (or fetches from the
 plan cache) an immutable :class:`~repro.compiled.CompiledQuery` and runs
-the level walk in :meth:`execute` against a per-query
-:class:`~repro.topk.base.ExecutionSession` — one instance is safely
-shared between threads.
+the level walk in :meth:`execute` against a per-query session — one
+instance is safely shared between threads.  The same walk runs sharded: a
+:class:`~repro.sharding.ScatterSession` runs each level on every shard
+still in play and retires shards through its ``bound`` hook.
 """
 
 from __future__ import annotations
 
 from repro.obs.tracer import NULL_TRACER
-from repro.plans.executor import STRICT
-from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import AnswerScore, ScoredAnswer
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    combined_level_cutoff,
-    record_topk_metrics,
-)
+from repro.rank.schemes import STRUCTURE_FIRST
+from repro.topk.base import ExecutionSession, combined_level_cutoff, run_top_k
 
 
 class DPO:
@@ -44,20 +37,19 @@ class DPO:
 
     name = "DPO"
 
+    #: Per-level pool filter ``(context, query) -> {var: node ids}``; DPO
+    #: seeds structural matching with full tag lists (IR-first overrides).
+    _restrictions_for = None
+
     def __init__(self, context):
         self._context = context
 
     def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
               tracer=NULL_TRACER, control=None):
         """Return the top-K answers of ``query`` under ``scheme``."""
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
+        session = ExecutionSession(self._context, tracer=tracer,
+                                   control=control)
+        return run_top_k(self, session, query, k, scheme, max_relaxations)
 
     def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
         """Run the DPO level walk over a compiled artifact (stateless)."""
@@ -66,41 +58,20 @@ class DPO:
 
         cutoff = len(schedule)
         reached_level = None
+        collected = []
+        walked = 0
 
         for level in range(len(schedule) + 1):
-            if level > cutoff:
+            if level > cutoff or session.exhausted:
                 break
-            plan = compiled.strict_physical(level)
-            # Answers of earlier levels are excluded inside the executor as
-            # soon as the answer variable binds — the paper's §5.2.2 trick
-            # for avoiding recomputation across successive relaxations.
-            result = session.run_plan(
-                plan,
-                "level %d" % level,
-                mode=STRICT,
-                exclude_answer_ids=session.seen,
-            )
-
-            level_score = schedule.structural_score(level)
-            fresh = []
-            for answer in result.answers:
-                if answer.node_id in session.seen:
-                    continue
-                session.seen.add(answer.node_id)
-                fresh.append(
-                    ScoredAnswer(
-                        node=answer.node,
-                        score=AnswerScore(level_score, answer.score.keyword),
-                        relaxation_level=level,
-                        satisfied=answer.satisfied,
-                    )
-                )
-            # Within a level all structural scores are equal; order by the
-            # scheme's secondary component so appending keeps global order.
-            fresh.sort(key=lambda a: scheme.sort_key(a.score), reverse=True)
-            session.collected.extend(fresh)
-
-            if len(session.collected) >= k and reached_level is None:
+            collected.extend(session.run_strict(
+                compiled, level, exclude_seen=True,
+                restrictions=self._restrictions_for,
+            ))
+            walked = level
+            if len(collected) < k:
+                continue
+            if reached_level is None:
                 reached_level = level
                 if scheme.requires_all_relaxations:
                     cutoff = len(schedule)
@@ -110,16 +81,8 @@ class DPO:
                     )
                 else:
                     cutoff = level  # structure-first: stop right here
+            if level < cutoff:
+                session.bound(compiled, level, collected, k, scheme)
 
-        answers = rank_answers(session.collected, scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=session.levels_evaluated - 1,
-            levels_evaluated=session.levels_evaluated,
-            stats=session.stats,
-            traces=session.traces,
-        )
+        return session.result(self.name, compiled, k, scheme, collected,
+                              walked)

@@ -9,28 +9,23 @@ opportunities." §7 classifies it as the *rewriting strategy* of
 This implementation makes the baseline concrete so benchmarks can quantify
 what DPO's bookkeeping and SSO's single-plan encoding buy:
 
-- every schedule level is evaluated in full (no early stop at K);
+- every schedule level is evaluated in full (no early stop at K; a
+  sharded run still retires shards through the session's ``bound`` hook);
 - no answer-id memory across levels — the containment-implied duplicates
   are recomputed at every level and deduplicated only at the end;
 - all answers are collected and sorted once, at the end.
 
 Stateless like its siblings: plans come prebuilt from the
 :class:`~repro.compiled.CompiledQuery`, per-query state rides the
-:class:`~repro.topk.base.ExecutionSession`.
+session (:class:`~repro.topk.base.ExecutionSession`, or a scatter session
+over shards).
 """
 
 from __future__ import annotations
 
 from repro.obs.tracer import NULL_TRACER
-from repro.plans.executor import STRICT
-from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import AnswerScore, ScoredAnswer
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    record_topk_metrics,
-)
+from repro.rank.schemes import STRUCTURE_FIRST
+from repro.topk.base import ExecutionSession, run_top_k
 
 
 class NaiveRewriting:
@@ -43,46 +38,28 @@ class NaiveRewriting:
 
     def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
               tracer=NULL_TRACER, control=None):
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
+        """Return the top-K answers of ``query`` under ``scheme``."""
+        session = ExecutionSession(self._context, tracer=tracer,
+                                   control=control)
+        return run_top_k(self, session, query, k, scheme, max_relaxations)
 
     def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
         """Evaluate every level in full over the compiled artifact."""
         schedule = compiled.schedule
 
-        collected = {}
+        best = {}
         for level in range(len(schedule) + 1):
-            plan = compiled.strict_physical(level)
-            result = session.run_plan(plan, "level %d" % level, mode=STRICT)
-            level_score = schedule.structural_score(level)
-            for answer in result.answers:
-                scored = ScoredAnswer(
-                    node=answer.node,
-                    score=AnswerScore(level_score, answer.score.keyword),
-                    relaxation_level=level,
-                    satisfied=answer.satisfied,
-                )
-                current = collected.get(answer.node_id)
-                if current is None or scheme.sort_key(scored.score) > scheme.sort_key(
-                    current.score
-                ):
-                    collected[answer.node_id] = scored
+            if session.exhausted:
+                break
+            for answer in session.run_strict(compiled, level,
+                                             exclude_seen=False):
+                current = best.get(answer.node_id)
+                if current is None or scheme.sort_key(
+                    answer.score
+                ) > scheme.sort_key(current.score):
+                    best[answer.node_id] = answer
+            if level < len(schedule) and len(best) >= k:
+                session.bound(compiled, level, best.values(), k, scheme)
 
-        answers = rank_answers(collected.values(), scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=len(schedule),
-            levels_evaluated=session.levels_evaluated,
-            stats=session.stats,
-            traces=session.traces,
-        )
+        return session.result(self.name, compiled, k, scheme, best.values(),
+                              len(schedule))

@@ -19,14 +19,8 @@ from __future__ import annotations
 
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.executor import SSO_MODE
-from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    combined_level_cutoff,
-    record_topk_metrics,
-)
+from repro.rank.schemes import STRUCTURE_FIRST
+from repro.topk.base import ExecutionSession, combined_level_cutoff, run_top_k
 
 
 class SSO:
@@ -62,47 +56,23 @@ class SSO:
     def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
               tracer=NULL_TRACER, control=None):
         """Return the top-K answers of ``query`` under ``scheme``."""
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
+        session = ExecutionSession(self._context, tracer=tracer,
+                                   control=control)
+        return run_top_k(self, session, query, k, scheme, max_relaxations)
 
     def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
         """Run the encoded-plan evaluation (with restarts) — stateless."""
         schedule = compiled.schedule
-        contains_count = compiled.contains_count()
-
-        level = self.choose_level(schedule, k, scheme, contains_count)
+        level = self.choose_level(schedule, k, scheme,
+                                  compiled.contains_count())
 
         while True:
-            plan = compiled.encoded_physical(level)
-            result = session.run_plan(
-                plan,
-                "encoded@level %d" % level,
-                k=k,
-                scheme=scheme,
-                mode=self._mode,
-            )
-            if len(result.answers) >= k or level >= len(schedule):
+            answers = session.run_encoded(compiled, level, k, scheme,
+                                          self._mode)
+            if len(answers) >= k or level >= len(schedule):
                 break
             # Estimate was optimistic: drop more predicates and restart.
             level += 1
             session.restarts += 1
 
-        answers = rank_answers(result.answers, scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=level,
-            levels_evaluated=session.levels_evaluated,
-            restarts=session.restarts,
-            stats=session.stats,
-            traces=session.traces,
-        )
+        return session.result(self.name, compiled, k, scheme, answers, level)

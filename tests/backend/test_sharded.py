@@ -4,8 +4,8 @@ The scatter-gather *scoring* equivalence lives in
 ``tests/properties/test_property_sharded.py``; this module covers the
 storage plane — document→shard routing, global-id translation, exact
 statistics aggregation, the on-disk per-shard layout, the published
-gauges/topology — plus the engine-facade seams (process scatter, traced
-scatter, concurrent ingest).
+gauges/topology — plus the engine-facade seams (traced scatter, concurrent
+ingest).
 """
 
 import pickle
@@ -322,6 +322,27 @@ class TestEngineIntegration:
             a.node_id for a in untraced.answers
         ]
 
+    def test_sso_restarts_match_unsharded(self):
+        """An optimistic estimate makes SSO restart; sharded restarts agree."""
+
+        class Optimist:
+            def estimate(self, query):
+                return 10_000.0
+
+        sharded = Engine(_sharded(3))
+        flat = Engine(_flat())
+        results = []
+        for engine in (sharded, flat):
+            engine.context.estimator = Optimist()
+            results.append(engine.query(
+                '//root/b/c[.contains("vintage")]', k=50, algorithm="sso"
+            ))
+        left, right = results
+        assert left.restarts == right.restarts > 0
+        assert left.relaxations_used == right.relaxations_used
+        assert left.shard_rounds == left.restarts + 1
+        assert left.node_ids() == right.node_ids()
+
     def test_compiled_query_pickles(self):
         engine = Engine(_sharded(2))
         compiled = engine.context.compile(parse_query(QUERY))
@@ -329,24 +350,47 @@ class TestEngineIntegration:
         assert clone.tpq.to_xpath() == compiled.tpq.to_xpath()
         assert len(clone.schedule) == len(compiled.schedule)
 
-    def test_process_scatter_matches_threads(self):
-        engine = Engine(_sharded(2))
-        threaded = engine.query(QUERY, k=4, algorithm="dpo")
-        try:
-            engine.context.enable_process_scatter(processes=2)
-        except FleXPathError:
-            pytest.skip("fork start method unavailable")
-        try:
-            forked = engine.query(QUERY, k=4, algorithm="dpo")
-        finally:
-            engine.context.close()
-        assert [
-            (a.node_id, round(a.score.structural, 9))
-            for a in forked.answers
-        ] == [
-            (a.node_id, round(a.score.structural, 9))
-            for a in threaded.answers
-        ]
+
+class TestVirtualRoot:
+    """The synthetic collection root can never be bound, sharded or not."""
+
+    WILDCARD = "//*[./a]"
+
+    def _engines(self):
+        sharded = Engine.sharded(2)
+        for index, text in enumerate(DOCS):
+            sharded.backend.add_document(parse(text), name="doc%d" % index)
+        return sharded, Engine(_flat())
+
+    def test_wildcard_never_returns_the_root(self):
+        sharded, flat = self._engines()
+        for algorithm in ("dpo", "sso", "hybrid", "naive", "ir-first"):
+            left = sharded.query(self.WILDCARD, k=10, algorithm=algorithm)
+            right = flat.query(self.WILDCARD, k=10, algorithm=algorithm)
+            for result in (left, right):
+                assert len(result.answers) == 10, algorithm
+                assert 0 not in result.node_ids(), algorithm
+                assert "collection" not in [
+                    node.tag for node in result.nodes()
+                ], algorithm
+            assert [
+                (a.node_id, round(a.score.structural, 9),
+                 round(a.score.keyword, 9))
+                for a in left.answers
+            ] == [
+                (a.node_id, round(a.score.structural, 9),
+                 round(a.score.keyword, 9))
+                for a in right.answers
+            ], algorithm
+
+    def test_exact_never_returns_the_root(self):
+        sharded, flat = self._engines()
+        for engine in (sharded, flat):
+            facade = FleXPath(engine.backend)
+            assert facade.exact("//collection") == []
+            assert 0 not in [
+                node.node_id for node in facade.exact(self.WILDCARD)
+            ]
 
 
 class TestShardHammer:

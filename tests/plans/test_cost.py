@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.errors import EvaluationError
 from repro.plans import (
     Alternative,
@@ -18,7 +19,6 @@ from repro.plans import (
 from repro.plans.cost import REFINE_MIN_SAMPLES, join_cost_key
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
-from repro.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.plans import (
     HYBRID_MODE,
@@ -14,7 +15,6 @@ from repro.plans import (
 from repro.query import evaluate, parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.plans import (
     SSO_MODE,
@@ -13,7 +14,6 @@ from repro.plans import (
 from repro.plans.ordering import selectivity_ordered
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.compiled import compile_query
 from repro.ir import IREngine
 from repro.obs.metrics import REGISTRY
@@ -23,7 +24,6 @@ from repro.plans.physical import BINARY, TWIG
 from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
 from repro.topk.base import QueryContext
 from repro.xmark import generate_document
 

@@ -9,6 +9,7 @@ binary pipeline on both answers and round-9 scores everywhere.
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.plans import (
     STRICT,
@@ -20,7 +21,6 @@ from repro.plans import (
 from repro.plans.physical import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
-from repro.stats import DocumentStatistics
 from repro.xmltree import parse
 
 DEPTH = 1000

@@ -77,14 +77,8 @@ def exotic_documents(draw, max_children=3, max_depth=3):
 
 
 @st.composite
-def tree_patterns(draw, max_vars=5, with_contains=True, always_tagged=False):
-    """A random TPQ over the same alphabet (root tag fixed to 'root' or a).
-
-    ``always_tagged=True`` gives every variable a tag constraint — no
-    wildcards.  The sharded equivalence properties need this: a wildcard
-    variable can bind the corpus *virtual root*, whose subtree (and hence
-    keyword score) is shard-local under sharding but corpus-wide without.
-    """
+def tree_patterns(draw, max_vars=5, with_contains=True):
+    """A random TPQ over the same alphabet; any variable may be a wildcard."""
     count = draw(st.integers(1, max_vars))
     variables = ["$%d" % (i + 1) for i in range(count)]
     edges = {}
@@ -94,7 +88,7 @@ def tree_patterns(draw, max_vars=5, with_contains=True, always_tagged=False):
         axis = draw(st.sampled_from(("pc", "ad")))
         edges[variables[index]] = (parent, axis)
     for var in variables:
-        if always_tagged or draw(st.booleans()):
+        if draw(st.booleans()):
             tags[var] = draw(st.sampled_from(TAGS))
     contains = []
     if with_contains and draw(st.booleans()):

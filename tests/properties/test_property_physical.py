@@ -71,7 +71,7 @@ def _assert_equivalent(docs, query, k, scheme, cached):
 
 @given(
     st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
     st.booleans(),
 )
@@ -82,7 +82,7 @@ def test_structure_first_identical(docs, query, k, cached):
 
 @given(
     st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
     st.booleans(),
 )
@@ -93,7 +93,7 @@ def test_keyword_first_identical(docs, query, k, cached):
 
 @given(
     st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
     st.booleans(),
 )
@@ -116,7 +116,7 @@ def _sharded_context(docs, shard_count, policy):
 @given(
     st.lists(documents(), min_size=2, max_size=3),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
     st.sampled_from(SCHEMES),
 )

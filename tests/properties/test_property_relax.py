@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings
 
+from repro.backend.stats import DocumentStatistics
 from repro.query import evaluate, is_contained_in
 from repro.relax import PenaltyModel, RelaxationSchedule, applicable_relaxations
-from repro.stats import DocumentStatistics
 
 from tests.properties.strategies import documents, tree_patterns
 

@@ -5,11 +5,8 @@ ingest sequence routed across N shards must produce the *same ranked
 answer list* — node identity, structural score, keyword score — as one
 unsharded corpus, for every algorithm and every ranking scheme.  The
 early-termination merge may skip shard rounds, but never an answer.
-
-Queries are drawn with every variable tagged: a wildcard variable can
-bind the corpus virtual root, whose subtree is shard-local under
-sharding but corpus-wide without (the one documented non-equivalence,
-see ``repro.sharding``).
+Queries include wildcard variables: the virtual collection root — the one
+node whose subtree differs between the two layouts — is never bound.
 """
 
 from hypothesis import given, settings
@@ -72,7 +69,7 @@ def _assert_equivalent(docs, shard_count, query, k, scheme):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -83,7 +80,7 @@ def test_structure_first_identical(docs, shard_count, query, k):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -94,7 +91,7 @@ def test_keyword_first_identical(docs, shard_count, query, k):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -104,7 +101,7 @@ def test_combined_identical(docs, shard_count, query, k):
 
 @given(
     st.lists(documents(), min_size=3, max_size=5),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
 )
 @settings(max_examples=25, deadline=None)
 def test_pruned_rounds_never_drop_answers(docs, query):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.query import is_contained_in, parse_query
 from repro.relax import (
@@ -13,7 +14,6 @@ from repro.relax import (
     RelaxationSchedule,
     candidate_steps,
 )
-from repro.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

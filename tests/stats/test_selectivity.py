@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.backend.stats import DocumentStatistics
 from repro.ir import IREngine
 from repro.query import evaluate, parse_query
-from repro.stats import DocumentStatistics, SelectivityEstimator
+from repro.stats import SelectivityEstimator
 from repro.xmark import generate_document
 
 

@@ -7,7 +7,7 @@ relaxed answers tie with exact matches.
 
 import pytest
 
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

@@ -92,16 +92,16 @@ class TestPlanCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.evictions == 1
+        assert cache.info()["evictions"] == 1
         assert _counter("plan_cache.evictions") == 1
 
     def test_invalidate_counts_once_and_only_when_nonempty(self):
         cache = PlanCache()
         cache.invalidate()
-        assert cache.invalidations == 0
+        assert cache.info()["invalidations"] == 0
         cache.put("a", 1)
         cache.invalidate()
-        assert cache.invalidations == 1
+        assert cache.info()["invalidations"] == 1
         assert len(cache) == 0
         assert _counter("plan_cache.invalidations") == 1
 
@@ -137,8 +137,9 @@ class TestContextCompile:
         second = context.compile(tpq)
         assert first is second
         assert isinstance(first, CompiledQuery)
-        assert context.plan_cache.hits == 1
-        assert context.plan_cache.misses == 1
+        info = context.plan_cache.info()
+        assert info["hits"] == 1
+        assert info["misses"] == 1
 
     def test_schedule_delegates_to_plan_cache(self, context):
         tpq = parse_query(QUERY)
@@ -164,7 +165,7 @@ class TestContextCompile:
         after = context.compile(tpq)
         assert after is not before
         assert after.corpus_version == corpus.version
-        assert context.plan_cache.invalidations >= 1
+        assert context.plan_cache.info()["invalidations"] >= 1
 
 
 class TestFacadeIntegration:

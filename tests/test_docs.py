@@ -55,3 +55,17 @@ class TestCrossReferences:
         experiments = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
         for path in set(re.findall(r"tests/[\w/]+\.py", experiments)):
             assert (ROOT / path).exists(), path
+
+
+class TestExtendingGuide:
+    def test_custom_strategy_example_runs_sharded_unchanged(self):
+        """The guide's session-contract strategy runs on both topologies."""
+        text = (ROOT / "docs" / "EXTENDING.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+        [block] = [b for b in blocks if "class FirstLevel" in b]
+        namespace = {}
+        exec(compile(block, "EXTENDING.md[FirstLevel]", "exec"), namespace)
+        local, scattered = namespace["local"], namespace["scattered"]
+        assert [a.relaxation_level for a in local.answers] == [1]
+        assert local.shard_rounds == 0
+        assert scattered.shard_rounds == 2

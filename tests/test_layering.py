@@ -105,7 +105,7 @@ class TestDetection:
         assert len(violations) == 1
         assert "plans/cost.py" in violations[0]
 
-    def test_module_getattr_shim_is_exempt(self, tmp_path):
+    def test_module_getattr_shim_is_flagged(self, tmp_path):
         root = _fake_tree(
             tmp_path,
             "def __getattr__(name):\n"
@@ -113,4 +113,6 @@ class TestDetection:
             "    return DocumentStatistics\n",
             package="stats",
         )
-        assert check_layering.check(root) == []
+        violations = check_layering.check(root)
+        assert len(violations) == 1
+        assert "repro.backend.stats" in violations[0]

@@ -23,11 +23,9 @@ fails (exit 1, one line per violation) on:
   packages (``repro.topk``, ``repro.plans``, ``repro.sharding``, the
   engine/session facades, ...) — storage must not reach back up.
 
-The one sanctioned escape hatch is a module-level ``__getattr__`` (PEP
-562): a lazy compatibility re-export like
-``repro.stats.collector.DocumentStatistics`` may import the moved class
-inside that function, because nothing executes it until a caller outside
-the guarded packages asks for the name.
+Every import counts, wherever it sits — inside a function, a class or a
+module-level ``__getattr__`` (PEP 562) alike: a lazy re-export still ties
+the guarded package to the storage class it hands out.
 
 Run directly (``python tools/check_layering.py``) or through the pytest
 wrapper in ``tests/test_layering.py``; CI runs both.
@@ -101,23 +99,9 @@ BACKEND_BANNED_PREFIXES = (
 )
 
 
-def _walk_guarded(tree):
-    """Walk the module AST, skipping module-level ``__getattr__`` bodies."""
-    stack = [
-        node for node in tree.body
-        if not (
-            isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
-        )
-    ]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _module_violations(path, tree):
     """Yield ``(lineno, message)`` for every banned import in one module."""
-    for node in _walk_guarded(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in BANNED_MODULES:
@@ -152,7 +136,7 @@ def _backend_violations(path, tree):
             for prefix in BACKEND_BANNED_PREFIXES
         )
 
-    for node in _walk_guarded(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if banned(alias.name):
